@@ -27,6 +27,7 @@ from repro.core.builder import AirphantBuilder, BuilderConfig, doc_word_pairs
 from repro.core.postings import (
     Posting,
     StringTable,
+    as_postings,
     decode_postings,
     read_uvarint,
     write_uvarint,
@@ -329,7 +330,7 @@ class LuceneLike(Engine):
         raw = self.client.fetch(
             block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
         )
-        return decode_postings(raw)
+        return as_postings(decode_postings(raw))
 
     def lookup(self, word):
         led = self.client.begin_query()
@@ -387,7 +388,7 @@ class SQLiteLike(Engine):
         raw = self.client.fetch(
             block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
         )
-        return decode_postings(raw)
+        return as_postings(decode_postings(raw))
 
     def lookup(self, word):
         led = self.client.begin_query()
@@ -497,7 +498,7 @@ class ElasticLike(LuceneLike):
         raw = self.fetcher.fetch(
             block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
         )
-        return decode_postings(raw)
+        return as_postings(decode_postings(raw))
 
 
 ENGINE_CLASSES = {

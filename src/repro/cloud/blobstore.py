@@ -27,6 +27,9 @@ class BlobStore:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # name → its checked, resolved path; range reads are the hot path,
+        # and resolving both paths costs more than the read itself
+        self._read_paths: dict[str, str] = {}
 
     def _path(self, name: str) -> Path:
         p = (self.root / name).resolve()
@@ -58,13 +61,17 @@ class BlobStore:
         """
         if offset < 0 or length < 0:
             raise ValueError(f"negative range ({offset}, {length})")
-        p = self._path(name)
+        p = self._read_paths.get(name)
+        if p is None:
+            p = self._read_paths[name] = str(self._path(name))
         try:
-            with open(p, "rb") as f:
-                f.seek(offset)
-                data = f.read(length)
+            fd = os.open(p, os.O_RDONLY)
         except FileNotFoundError:
             raise KeyError(name) from None
+        try:
+            data = os.pread(fd, length, offset)
+        finally:
+            os.close(fd)
         if len(data) != length:
             raise ValueError(
                 f"range ({offset}, {length}) exceeds blob {name!r} "

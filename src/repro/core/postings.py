@@ -13,12 +13,18 @@ Serialization follows the paper's compaction notes (§IV-C):
   keeps superposts small enough that fetching L of them in parallel
   beats one B-tree traversal.
 
+The query path decodes and combines postings as numpy arrays of
+``(blob_id, offset, length)`` rows and builds :class:`Posting` objects
+only for its final candidates (:func:`as_postings`).
+
 The paper uses Protocol Buffers; a hand-rolled varint codec reproduces
 the same wire-size characteristics without the dependency (DESIGN.md §2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -122,39 +128,86 @@ def encode_postings(postings: list[Posting]) -> bytes:
     return bytes(out)
 
 
-def decode_postings(buf: bytes) -> list[Posting]:
-    """Inverse of :func:`encode_postings`; returns sorted postings."""
-    n, pos = read_uvarint(buf, 0)
-    postings: list[Posting] = []
-    blob = 0
-    off = 0
-    for _ in range(n):
-        db, pos = read_uvarint(buf, pos)
-        blob += db
-        if db:
-            off = 0
-        d_off, pos = read_uvarint(buf, pos)
-        off += d_off
-        length, pos = read_uvarint(buf, pos)
-        postings.append(Posting(blob, off, length))
-    if pos != len(buf):
-        raise ValueError(f"trailing bytes after postings list ({len(buf) - pos})")
-    return postings
+def decode_postings(buf: bytes) -> np.ndarray:
+    """Inverse of :func:`encode_postings` as sorted ``(n, 3)`` int64 rows
+    ``(blob_id, offset, length)``; :func:`as_postings` turns them into
+    :class:`Posting` objects.
+
+    Every byte below 0x80 ends a varint; each varint's bytes are summed
+    as 7-bit groups, and a segmented cumulative sum undoes the deltas (a
+    nonzero blob delta restarts the offset run). Raises ``ValueError`` on
+    truncated input, trailing bytes, a count that disagrees with the
+    payload, or a varint longer than 9 bytes (over 63 bits).
+    """
+    data = np.frombuffer(buf, dtype=np.uint8)
+    ends = np.flatnonzero(data < 0x80)
+    if not len(ends) or ends[-1] != len(data) - 1:
+        raise ValueError("truncated uvarint")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = ends - starts + 1
+    if widths.max() > 9:
+        raise ValueError("uvarint too long")
+    shifts = 7 * (np.arange(len(data)) - np.repeat(starts, widths))
+    values = np.add.reduceat((data & 0x7F).astype(np.int64) << shifts, starts)
+    n = int(values[0])
+    if len(values) != 1 + 3 * n:
+        raise ValueError(f"postings count {n} disagrees with {len(values) - 1} varints")
+    deltas = values[1:].reshape(n, 3)
+    restart = deltas[:, 0] != 0
+    restart[:1] = True
+    # running offset sum minus its value just before each run's start; the
+    # int64 sum may wrap past 2**63, but the difference is exact
+    run_sum = np.cumsum(deltas[:, 1])
+    before_run = (run_sum - deltas[:, 1])[restart]
+    rows = np.empty((n, 3), dtype=np.int64)
+    np.cumsum(deltas[:, 0], out=rows[:, 0])
+    rows[:, 1] = run_sum - before_run[np.cumsum(restart) - 1]
+    rows[:, 2] = deltas[:, 2]
+    return rows
 
 
-def intersect(lists: list[list[Posting]]) -> list[Posting]:
-    """Set intersection of postings lists — the IoU query's final step."""
+def as_postings(rows: np.ndarray) -> list[Posting]:
+    """``(n, 3)`` rows as :class:`Posting` objects, in row order."""
+    return [Posting(blob, off, length) for blob, off, length in rows.tolist()]
+
+
+#: One posting row as 24 raw bytes, so set operations compare whole rows.
+_ROW = np.dtype((np.void, 24))
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Rows as 24-byte keys. Big-endian fields make the keys' byte order
+    the rows' numeric order (postings are non-negative)."""
+    return np.ascontiguousarray(rows, dtype=">i8").view(_ROW).ravel()
+
+
+def _rows(keys: np.ndarray) -> np.ndarray:
+    return keys.view(">i8").reshape(-1, 3).astype(np.int64)
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys. The stable sort (timsort) takes near-linear
+    time on the already sorted runs that decoded lists form."""
+    keys = np.sort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def intersect(lists: list[np.ndarray]) -> np.ndarray:
+    """Set intersection of postings rows, sorted — the IoU query's final step."""
     if not lists:
-        return []
-    acc = set(lists[0])
-    for lst in lists[1:]:
-        acc &= set(lst)
-    return sorted(acc)
+        return np.empty((0, 3), dtype=np.int64)
+    acc = _unique(_keys(lists[0]))
+    for rows in lists[1:]:
+        # both sides are distinct, so a key in both appears exactly twice
+        both = np.sort(np.concatenate((acc, _unique(_keys(rows)))), kind="stable")
+        acc = both[1:][both[1:] == both[:-1]]
+    return _rows(acc)
 
 
-def union(lists: list[list[Posting]]) -> list[Posting]:
-    """Set union of postings lists — used by boolean OR queries (§IV-F)."""
-    acc: set[Posting] = set()
-    for lst in lists:
-        acc |= set(lst)
-    return sorted(acc)
+def union(lists: list[np.ndarray]) -> np.ndarray:
+    """Set union of postings rows, sorted — used by boolean OR queries (§IV-F)."""
+    if not lists:
+        return np.empty((0, 3), dtype=np.int64)
+    return _rows(_unique(np.concatenate([_keys(rows) for rows in lists])))

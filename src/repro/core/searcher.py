@@ -18,9 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cloud.client import CloudClient, FetchRequest
 from repro.core.mht import MultilayerHashTable
-from repro.core.postings import Posting, decode_postings, intersect, union
+from repro.core.postings import Posting, as_postings, decode_postings, intersect, union
 from repro.core.superpost import BinPointer, block_blob_name, decode_header, header_blob_name
 from repro.core.topk import sample_size
 from repro.corpora.parsers import tokenize
@@ -167,20 +169,20 @@ class AirphantSearcher:
                 raise ValueError("wait_for out of range")
             payloads = self.client.fetch_batch_first_l(requests, wait_for)
             lists = [decode_postings(b) for b in payloads]
-            return intersect(lists)
+            return as_postings(intersect(lists))
 
         payloads = self.client.fetch_batch(requests)
-        per_word: dict[str, list[Posting]] = {}
+        per_word: dict[str, np.ndarray] = {}
         for plan in plans:
             if any(s is None for s in plan.slots):
-                per_word[plan.word] = []
+                per_word[plan.word] = np.empty((0, 3), dtype=np.int64)
             else:
                 lists = [decode_postings(payloads[s]) for s in plan.slots]
                 per_word[plan.word] = intersect(lists)
         clause_lists = [
             intersect([per_word[w] for w in clause]) for clause in query.clauses
         ]
-        return union(clause_lists)
+        return as_postings(union(clause_lists))
 
     # -- full search -----------------------------------------------------------
 
@@ -246,6 +248,8 @@ class AirphantSearcher:
             n_false_positives=n_fp,
             n_results=len(results),
         )
-        # sanity: lookup wait is part of total wait
-        assert stats.wait_ms >= lookup_wait - 1e-9
+        if stats.wait_ms < lookup_wait - 1e-9:
+            raise RuntimeError(
+                f"query wait {stats.wait_ms} ms is less than its lookup wait {lookup_wait} ms"
+            )
         return results, stats

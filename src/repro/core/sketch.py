@@ -3,9 +3,10 @@
 Two halves live here:
 
 * :class:`IoUSketch` — the insert/query data structure of §IV-A,
-  operating on in-memory postings. The distributed Builder
-  (:mod:`repro.core.builder`) produces the identical structure via Spark
-  aggregations; tests cross-check the two.
+  operating on in-memory postings. It is the test oracle for the
+  structure's semantics; the distributed Builder
+  (:mod:`repro.core.builder`) builds the same structure via Spark
+  aggregations and does not call it.
 * The analysis of §IV-A/§IV-B as plain functions: the per-document false
   positive probability ``q_i(L)`` and its approximation (Eq 1), the
   expected number of false positives ``F(L)`` (Eq 2), its derivative

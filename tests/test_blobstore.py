@@ -103,3 +103,40 @@ class TestListing:
         assert not store.exists("e")
         store.put("e", b"1")
         assert store.exists("e")
+
+
+class TestRangeReadsAfterChanges:
+    """``get_range`` keeps each name's checked path; the bytes it returns
+    must still be the blob's current bytes."""
+
+    def test_replaced_blob_read_fresh(self, store, tmp_path):
+        store.put("r", b"old bytes")
+        assert store.get_range("r", 0, 3) == b"old"
+        store.put("r", b"new bytes")
+        assert store.get_range("r", 0, 3) == b"new"
+        other = BlobStore(tmp_path)
+        assert other.get_range("r", 4, 5) == b"bytes"
+        other.put("r", b"third")
+        assert store.get_range("r", 0, 5) == b"third"
+
+    def test_deleted_blob_raises_keyerror(self, store):
+        store.put("d", b"abc")
+        assert store.get_range("d", 0, 1) == b"a"
+        store.delete("d")
+        with pytest.raises(KeyError):
+            store.get_range("d", 0, 1)
+
+    @pytest.mark.parametrize("name", ["../evil", "a/../../evil", "/etc/hostname"])
+    def test_escaping_name_rejected_every_call(self, store, name):
+        store.put("ok", b"abc")
+        for _ in range(3):
+            assert store.get_range("ok", 0, 3) == b"abc"
+            with pytest.raises(ValueError, match="escapes"):
+                store.get_range(name, 0, 1)
+
+    def test_overrun_after_cached_read_raises(self, store):
+        store.put("r", b"abcdef")
+        assert store.get_range("r", 0, 6) == b"abcdef"
+        store.put("r", b"abc")
+        with pytest.raises(ValueError, match="exceeds"):
+            store.get_range("r", 2, 5)

@@ -145,7 +145,7 @@ class TestBuild:
         report = AirphantBuilder(spark, store, cfg).build(h.df, "nf")
         header = decode_header(store.get(header_blob_name("nf")))
         fam = HashFamily(seeds=header.seeds, bins_per_layer=header.bins_per_layer)
-        from repro.core.postings import decode_postings
+        from repro.core.postings import as_postings, decode_postings
         from repro.core.superpost import block_blob_name
 
         pairs = doc_word_pairs(h.df).collect()
@@ -153,9 +153,11 @@ class TestBuild:
             for layer, b in enumerate(fam.bins(r["word"])):
                 ptr = header.pointer(layer, b)
                 assert not ptr.empty
-                plist = decode_postings(
-                    store.get_range(
-                        block_blob_name("nf", ptr.block_id), ptr.offset, ptr.length
+                plist = as_postings(
+                    decode_postings(
+                        store.get_range(
+                            block_blob_name("nf", ptr.block_id), ptr.offset, ptr.length
+                        )
                     )
                 )
                 spans = {

@@ -1,4 +1,5 @@
 """Unit tests for postings, the varint codec, and the string table."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.postings import (
     Posting,
     StringTable,
+    as_postings,
     decode_postings,
     encode_postings,
     intersect,
@@ -52,6 +54,33 @@ class TestUvarint:
         assert got == values and pos == len(buf)
 
 
+def rows(postings: list[Posting]) -> np.ndarray:
+    """Postings as the ``(n, 3)`` int64 rows the array kernels take."""
+    return np.array(
+        [(p.blob_id, p.offset, p.length) for p in postings], dtype=np.int64
+    ).reshape(-1, 3)
+
+
+def reference_decode(buf: bytes) -> list[Posting]:
+    """The per-posting decode loop the array decoder replaced."""
+    n, pos = read_uvarint(buf, 0)
+    postings: list[Posting] = []
+    blob = 0
+    off = 0
+    for _ in range(n):
+        db, pos = read_uvarint(buf, pos)
+        blob += db
+        if db:
+            off = 0
+        d_off, pos = read_uvarint(buf, pos)
+        off += d_off
+        length, pos = read_uvarint(buf, pos)
+        postings.append(Posting(blob, off, length))
+    if pos != len(buf):
+        raise ValueError(f"trailing bytes after postings list ({len(buf) - pos})")
+    return postings
+
+
 _postings = st.lists(
     st.builds(
         Posting,
@@ -62,19 +91,42 @@ _postings = st.lists(
     max_size=60,
 )
 
+# few blob ids, so lists mix offset runs within a blob with blob-delta resets
+_wide_postings = st.lists(
+    st.builds(
+        Posting,
+        blob_id=st.one_of(st.integers(0, 3), st.integers(0, 2**62)),
+        offset=st.one_of(st.integers(0, 300), st.integers(0, 2**62)),
+        length=st.one_of(st.integers(0, 300), st.integers(0, 2**62)),
+    ),
+    max_size=40,
+)
+
 
 class TestPostingsCodec:
     def test_empty(self):
-        assert decode_postings(encode_postings([])) == []
+        assert as_postings(decode_postings(encode_postings([]))) == []
 
     def test_roundtrip_sorted_dedup(self):
         ps = [Posting(1, 10, 5), Posting(0, 0, 3), Posting(1, 10, 5)]
-        assert decode_postings(encode_postings(ps)) == sorted(set(ps))
+        assert as_postings(decode_postings(encode_postings(ps))) == sorted(set(ps))
 
     @given(_postings)
     @settings(max_examples=150)
     def test_roundtrip_property(self, ps):
-        assert decode_postings(encode_postings(ps)) == sorted(set(ps))
+        assert as_postings(decode_postings(encode_postings(ps))) == sorted(set(ps))
+
+    @given(_wide_postings)
+    @settings(max_examples=200)
+    def test_array_decoder_matches_reference(self, ps):
+        buf = encode_postings(ps)
+        got = decode_postings(buf)
+        assert got.dtype == np.int64 and got.shape == (len(set(ps)), 3)
+        assert as_postings(got) == reference_decode(buf)
+
+    def test_blob_delta_restarts_offset_run(self):
+        ps = [Posting(0, 5, 1), Posting(0, 9, 1), Posting(2, 3, 1), Posting(2, 2**62, 2**62)]
+        assert as_postings(decode_postings(encode_postings(ps))) == ps
 
     def test_compression_beats_naive(self):
         # delta+varint must be far smaller than 3x8-byte fixed width
@@ -86,6 +138,32 @@ class TestPostingsCodec:
         with pytest.raises(ValueError):
             decode_postings(buf)
 
+    @pytest.mark.parametrize(
+        "buf",
+        [
+            b"",  # no count
+            b"\x01\x00\x01",  # one posting, its length missing
+            b"\x01\x00\x01\x82",  # last varint cut mid-way
+            encode_postings([Posting(0, 300, 2)])[:-2] + b"\x82",
+        ],
+    )
+    def test_truncated_rejected(self, buf):
+        with pytest.raises(ValueError):
+            decode_postings(buf)
+
+    @pytest.mark.parametrize("count", [0, 2, 5])
+    def test_count_mismatch_rejected(self, count):
+        buf = bytes([count]) + encode_postings([Posting(0, 1, 2)])[1:]
+        with pytest.raises(ValueError):
+            decode_postings(buf)
+
+    def test_varint_longer_than_nine_bytes_rejected(self):
+        nine = b"\x80" * 8 + b"\x01"  # 2**56 in 9 bytes: accepted
+        assert as_postings(decode_postings(b"\x01\x00\x00" + nine)) == [Posting(0, 0, 2**56)]
+        ten = b"\x80" * 9 + b"\x01"
+        with pytest.raises(ValueError):
+            decode_postings(b"\x01\x00\x00" + ten)
+
     def test_posting_ordering(self):
         assert Posting(0, 5, 1) < Posting(0, 6, 0) < Posting(1, 0, 0)
 
@@ -94,35 +172,42 @@ class TestSetOps:
     def test_intersect_basic(self):
         a = [Posting(0, 0, 1), Posting(0, 1, 1)]
         b = [Posting(0, 1, 1), Posting(0, 2, 1)]
-        assert intersect([a, b]) == [Posting(0, 1, 1)]
+        assert as_postings(intersect([rows(a), rows(b)])) == [Posting(0, 1, 1)]
 
     def test_intersect_empty_input(self):
-        assert intersect([]) == []
+        assert as_postings(intersect([])) == []
 
     def test_intersect_single_list(self):
         a = [Posting(0, 1, 1), Posting(0, 0, 1)]
-        assert intersect([a]) == sorted(a)
+        assert as_postings(intersect([rows(a)])) == sorted(a)
 
     def test_intersect_disjoint(self):
-        assert intersect([[Posting(0, 0, 1)], [Posting(1, 0, 1)]]) == []
+        assert as_postings(intersect([rows([Posting(0, 0, 1)]), rows([Posting(1, 0, 1)])])) == []
 
     def test_union_basic(self):
         a = [Posting(0, 0, 1)]
         b = [Posting(0, 1, 1)]
-        assert union([a, b]) == [Posting(0, 0, 1), Posting(0, 1, 1)]
+        assert as_postings(union([rows(a), rows(b)])) == [Posting(0, 0, 1), Posting(0, 1, 1)]
 
     def test_union_empty(self):
-        assert union([]) == []
+        assert as_postings(union([])) == []
 
     @given(_postings, _postings)
     @settings(max_examples=50)
     def test_intersect_matches_sets(self, a, b):
-        assert set(intersect([a, b])) == set(a) & set(b)
+        assert set(as_postings(intersect([rows(a), rows(b)]))) == set(a) & set(b)
 
     @given(_postings, _postings)
     @settings(max_examples=50)
     def test_union_matches_sets(self, a, b):
-        assert set(union([a, b])) == set(a) | set(b)
+        assert set(as_postings(union([rows(a), rows(b)]))) == set(a) | set(b)
+
+    @given(st.lists(_wide_postings, max_size=4))
+    @settings(max_examples=100)
+    def test_set_ops_sorted_and_exact(self, lists):
+        inter = set(lists[0]).intersection(*lists[1:]) if lists else set()
+        assert as_postings(intersect([rows(ps) for ps in lists])) == sorted(inter)
+        assert as_postings(union([rows(ps) for ps in lists])) == sorted(set().union(*lists))
 
 
 class TestStringTable:
